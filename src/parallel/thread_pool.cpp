@@ -57,7 +57,15 @@ void ThreadPool::worker_loop() {
       bulk->drivers.fetch_add(1, std::memory_order_acq_rel);
     }
     drive(*bulk);
-    bulk->drivers.fetch_sub(1, std::memory_order_acq_rel);
+    {
+      // Deregister under the pool mutex: the submitter evaluates its
+      // completion predicate holding it, so the decrement either happens
+      // before that check or after the submitter is parked in wait() — never
+      // in between, where the notify below would be lost. `bulk` lives on
+      // the submitter's stack and may be gone once the mutex is released.
+      const std::lock_guard<std::mutex> lock(mutex_);
+      bulk->drivers.fetch_sub(1, std::memory_order_acq_rel);
+    }
     work_done_.notify_all();
   }
 }

@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <optional>
+#include <span>
 
 #include "game/strategy_eval.hpp"
-#include "graph/bfs.hpp"
+#include "graph/connectivity.hpp"
+#include "graph/csr_graph.hpp"
 #include "obs/metrics.hpp"
 #include "obs/timing.hpp"
 #include "obs/trace.hpp"
@@ -40,106 +42,34 @@ void publish_exact_bb(const SolverResult& result, bool cache_hit) {
 
 constexpr std::uint64_t kInfCost = ~0ULL;
 
-/// Dominance + the full distance-table bounds need O(n²) memory and an O(n·m)
-/// precompute; above this size the search runs on the probe-based savings
-/// bound alone (it is hopeless that far out anyway — exact search is a
-/// small-instance tool).
-constexpr std::uint32_t kMatrixLimit = 2048;
+/// The O(n²)-memory cover table and its O(n·m) precompute are built up to
+/// this size; above it the search scores on the delta oracle with the
+/// probe-based savings bound alone (it is hopeless that far out anyway —
+/// exact search is a small-instance tool).
+constexpr std::uint32_t kMatrixLimit = ExactBranchAndBound::kMatrixLimit;
 
-/// The O(n³)-worst-case pairwise dominance sweep is gated tighter.
+/// Root dominance elimination runs only up to this size.
 constexpr std::uint32_t kDominanceLimit = 256;
 
-/// Both scoring paths behind one probe/commit interface: the delta oracle
-/// (journaled trial probes; the production path) or the naive per-candidate
-/// multi-source BFS (differential testing). Identical costs either way.
+/// The fallback above kMatrixLimit: the CSR delta oracle, where descending or
+/// backtracking is one dynamic-BFS edge operation and a child probe is a
+/// journaled trial insert rolled back in O(touched).
 class NodeEval {
  public:
-  NodeEval(const Digraph& g, Vertex player, CostVersion version, bool incremental,
-           GraphCore core)
-      : incremental_(incremental), csr_(core == GraphCore::kCsr) {
-    if (incremental_) {
-      if (csr_) {
-        csr_delta_.emplace(g, player, version);
-      } else {
-        delta_.emplace(g, player, version);
-      }
-      current_cost_ = csr_ ? csr_delta_->current_cost() : delta_->current_cost();
-      current_strategy_ = csr_ ? csr_delta_->current_strategy() : delta_->current_strategy();
-      // The search grows P from the empty set; strip the incumbent heads.
-      for (const Vertex h : current_strategy_) {
-        if (csr_) {
-          csr_delta_->remove_head(h);
-        } else {
-          delta_->remove_head(h);
-        }
-      }
-    } else {
-      naive_.emplace(g, player, version);
-      scratch_.emplace(g.num_vertices());
-      current_cost_ = naive_->current_cost();
-      current_strategy_ = naive_->current_strategy();
-    }
+  NodeEval(const Digraph& g, Vertex player, CostVersion version) : delta_(g, player, version) {
+    // The search grows P from the empty set; strip the incumbent heads.
+    for (const Vertex h : delta_.current_strategy()) delta_.remove_head(h);
   }
 
-  [[nodiscard]] std::uint64_t current_cost() const noexcept { return current_cost_; }
-  [[nodiscard]] const std::vector<Vertex>& current_strategy() const noexcept {
-    return current_strategy_;
-  }
-  [[nodiscard]] const std::vector<Vertex>& heads() const noexcept { return heads_; }
-
-  /// Cost of the present partial head set P.
-  [[nodiscard]] std::uint64_t cost() {
-    if (incremental_) return csr_ ? csr_delta_->cost() : delta_->cost();
-    return naive_->evaluate(heads_, *scratch_);
-  }
-
-  /// Cost of P ∪ {t} without committing (delta path: one journaled trial).
-  [[nodiscard]] std::uint64_t probe(Vertex t) {
-    if (incremental_) return csr_ ? csr_delta_->cost_with_head(t) : delta_->cost_with_head(t);
-    heads_.push_back(t);
-    const std::uint64_t c = naive_->evaluate(heads_, *scratch_);
-    heads_.pop_back();
-    return c;
-  }
-
-  void push(Vertex t) {
-    heads_.push_back(t);
-    if (incremental_) {
-      if (csr_) {
-        csr_delta_->add_head(t);
-      } else {
-        delta_->add_head(t);
-      }
-    }
-  }
-
-  void pop() {
-    BBNG_ASSERT(!heads_.empty());
-    if (incremental_) {
-      if (csr_) {
-        csr_delta_->remove_head(heads_.back());
-      } else {
-        delta_->remove_head(heads_.back());
-      }
-    }
-    heads_.pop_back();
-  }
-
-  [[nodiscard]] std::uint64_t bfs_avoided() const noexcept {
-    if (!incremental_) return 0;
-    return csr_ ? csr_delta_->bfs_avoided() : delta_->bfs_avoided();
-  }
+  [[nodiscard]] std::uint64_t current_cost() const noexcept { return delta_.current_cost(); }
+  [[nodiscard]] std::uint64_t cost() { return delta_.cost(); }
+  [[nodiscard]] std::uint64_t probe(Vertex t) { return delta_.cost_with_head(t); }
+  void push(Vertex t) { delta_.add_head(t); }
+  void pop(Vertex t) { delta_.remove_head(t); }
+  [[nodiscard]] std::uint64_t bfs_avoided() const noexcept { return delta_.bfs_avoided(); }
 
  private:
-  bool incremental_;
-  bool csr_;  ///< which optional below is engaged on the incremental path
-  std::optional<CsrDeltaEvaluator> csr_delta_;
-  std::optional<DeltaEvaluator> delta_;
-  std::optional<StrategyEvaluator> naive_;
-  std::optional<StrategyEvaluator::Scratch> scratch_;
-  std::vector<Vertex> heads_;  ///< the DFS path P (delta path mirrors it)
-  std::uint64_t current_cost_ = 0;
-  std::vector<Vertex> current_strategy_;
+  CsrDeltaEvaluator delta_;
 };
 
 struct Candidate {
@@ -148,21 +78,169 @@ struct Candidate {
   std::uint64_t saving = 0;  ///< cost(P) − cost
 };
 
+/// The table path (n ≤ kMatrixLimit). cover_[t·n + v] = 1 + d_base(t, v), the
+/// charge v pays when served through head t, saturated at Cinf where t cannot
+/// reach v. A flat stack holds one row per DFS depth: row d is the cover of
+/// the seeds In(u) ∪ P at depth d, so every cost is a min over two rows (the
+/// root row holds 0 in the player's column, so the player drops out of every
+/// sum and max):
+///   SUM cost(P ∪ {t}) = Σ_v min(top[v], cover[t][v]);
+///   MAX cost(P ∪ {t}) = max_v of the same mins when every base component
+///       holds a seed, else Cinf·(1 + unseeded components) — a per-component
+///       seed refcount along the DFS path gives the unseeded count in O(1).
+class CoverTable {
+ public:
+  CoverTable(const Digraph& g, Vertex player, CostVersion version)
+      : n_(g.num_vertices()), player_(player), version_(version), inf_(cinf(n_)) {
+    // One BFS per head over the base graph (strategy_eval.hpp), written
+    // straight into its cover row: Cinf doubles as the unvisited mark, since
+    // every reachable charge is at most n.
+    const CsrUGraph base = underlying_csr(CsrGraph(g), /*skip=*/player_);
+    const auto inf = static_cast<std::uint32_t>(inf_);
+    cover_.assign(static_cast<std::size_t>(n_) * n_, inf);
+    std::vector<Vertex> queue(n_);
+    for (Vertex t = 0; t < n_; ++t) {
+      if (t == player_) continue;  // row unused (never a candidate/seed)
+      std::uint32_t* row = cover_.data() + std::size_t{t} * n_;
+      row[t] = 1;
+      queue[0] = t;
+      for (std::uint32_t head = 0, tail = 1; head < tail; ++head) {
+        const Vertex v = queue[head];
+        for (const Vertex w : base.neighbors(v)) {
+          if (row[w] != inf) continue;
+          row[w] = row[v] + 1;
+          queue[tail++] = w;
+        }
+      }
+    }
+    const Components comps = connected_components(base);
+    comp_ = comps.id;
+    seed_refs_.assign(comps.count, 0);
+    unseeded_ = comps.count - 1;  // the player is an isolated singleton in base
+
+    // Root row: the cover the player's in-neighbours provide for free.
+    stack_.assign(n_, inf);
+    stack_[player_] = 0;
+    for (const Vertex w : player_in_neighbors(g, player_)) {
+      const std::uint32_t* cover = cover_row(w);
+      for (Vertex v = 0; v < n_; ++v) stack_[v] = std::min(stack_[v], cover[v]);
+      add_seed(w);
+    }
+    const std::span<const Vertex> current = g.out_neighbors(player_);
+    for (const Vertex h : current) push(h);
+    current_cost_ = cost();
+    for (auto it = current.rbegin(); it != current.rend(); ++it) pop(*it);
+  }
+
+  [[nodiscard]] std::uint64_t current_cost() const noexcept { return current_cost_; }
+
+  /// Cost of the present partial head set P.
+  [[nodiscard]] std::uint64_t cost() const {
+    const std::uint32_t* top = row(depth_);
+    if (version_ == CostVersion::Sum) {
+      std::uint64_t sum = 0;
+      for (Vertex v = 0; v < n_; ++v) sum += top[v];
+      return sum;
+    }
+    if (unseeded_ > 0) return inf_ * (1 + std::uint64_t{unseeded_});
+    return *std::max_element(top, top + n_);
+  }
+
+  /// Cost of P ∪ {t} for every allowed t, appended to `cands`; also returns
+  /// the seed-distance bound of the subtree (module header): per v, the min
+  /// over the top row and every allowed candidate's cover row, summed (SUM)
+  /// or maxed (MAX).
+  [[nodiscard]] std::uint64_t probe_all(const std::vector<Vertex>& allowed,
+                                        std::uint64_t cost_p, std::vector<Candidate>& cands) {
+    const std::uint32_t n = n_;  // a local bound lets the row loops vectorise
+    const std::uint32_t* top = row(depth_);
+    reach_.assign(top, top + n);
+    std::uint32_t* reach = reach_.data();
+    for (const Vertex t : allowed) {
+      const std::uint32_t* cover = cover_row(t);
+      std::uint64_t c = 0;
+      if (version_ == CostVersion::Sum) {
+        for (Vertex v = 0; v < n; ++v) {
+          c += std::min(top[v], cover[v]);
+          reach[v] = std::min(reach[v], cover[v]);
+        }
+      } else {
+        std::uint32_t worst = 0;
+        for (Vertex v = 0; v < n; ++v) {
+          worst = std::max(worst, std::min(top[v], cover[v]));
+          reach[v] = std::min(reach[v], cover[v]);
+        }
+        const std::uint32_t unseeded = unseeded_ - (seed_refs_[comp_[t]] == 0 ? 1 : 0);
+        c = unseeded > 0 ? inf_ * (1 + std::uint64_t{unseeded}) : worst;
+      }
+      BBNG_ASSERT(c <= cost_p);
+      cands.push_back({t, c, cost_p - c});
+    }
+    if (version_ == CostVersion::Sum) {
+      std::uint64_t sum = 0;
+      for (Vertex v = 0; v < n; ++v) sum += reach[v];
+      return sum;
+    }
+    return *std::max_element(reach, reach + n);
+  }
+
+  void push(Vertex t) {
+    if (stack_.size() < std::size_t{depth_ + 2} * n_) stack_.resize(std::size_t{depth_ + 2} * n_);
+    const std::uint32_t* top = row(depth_);
+    const std::uint32_t* cover = cover_row(t);
+    std::uint32_t* next = stack_.data() + std::size_t{depth_ + 1} * n_;
+    for (Vertex v = 0; v < n_; ++v) next[v] = std::min(top[v], cover[v]);
+    ++depth_;
+    add_seed(t);
+  }
+
+  void pop(Vertex t) {
+    BBNG_ASSERT(depth_ > 0);
+    --depth_;
+    if (--seed_refs_[comp_[t]] == 0) ++unseeded_;
+  }
+
+ private:
+  void add_seed(Vertex s) {
+    if (seed_refs_[comp_[s]]++ == 0) --unseeded_;
+  }
+  [[nodiscard]] const std::uint32_t* cover_row(Vertex t) const {
+    return cover_.data() + std::size_t{t} * n_;
+  }
+  [[nodiscard]] const std::uint32_t* row(std::uint32_t depth) const {
+    return stack_.data() + std::size_t{depth} * n_;
+  }
+
+  const std::uint32_t n_;
+  const Vertex player_;
+  const CostVersion version_;
+  const std::uint64_t inf_;
+  std::vector<std::uint32_t> cover_;      ///< n×n, row-major by head
+  std::vector<std::uint32_t> stack_;      ///< (depth+1)×n cover rows, grown on demand
+  std::vector<std::uint32_t> reach_;      ///< seed-distance bound scratch row
+  std::vector<std::uint32_t> comp_;       ///< component ids of the base graph
+  std::vector<std::uint32_t> seed_refs_;  ///< seeds of In ∪ P per component
+  std::uint32_t unseeded_ = 0;            ///< base components holding no seed
+  std::uint32_t depth_ = 0;
+  std::uint64_t current_cost_ = 0;
+};
+
 class Search {
  public:
   Search(const Digraph& g, Vertex player, CostVersion version, const SolverBudget& budget,
          std::uint32_t cap)
-      : n_(g.num_vertices()),
-        player_(player),
-        version_(version),
-        b_(cap),
-        inf_(cinf(n_)),
-        budget_(budget),
-        eval_(g, player, version, budget.incremental, budget.core) {
-    if (n_ <= kMatrixLimit) build_matrix(g);
+      : n_(g.num_vertices()), player_(player), version_(version), b_(cap), budget_(budget) {
+    if (n_ <= kMatrixLimit) {
+      table_.emplace(g, player, version);
+      if (n_ <= kDominanceLimit) dominated_ = detail::dominated_heads(g, player);
+    } else {
+      oracle_.emplace(g, player, version);
+    }
   }
 
-  [[nodiscard]] NodeEval& eval() noexcept { return eval_; }
+  [[nodiscard]] std::uint64_t current_cost() const noexcept {
+    return table_ ? table_->current_cost() : oracle_->current_cost();
+  }
 
   /// Seed the incumbent (better seeds prune more).
   void offer(const std::vector<Vertex>& heads, std::uint64_t cost) {
@@ -173,33 +251,15 @@ class Search {
   }
 
   void run() {
+    std::vector<std::uint8_t> eliminated(n_, 0);
+    for (const Vertex t : dominated_) eliminated[t] = 1;
+    nodes_pruned_ += dominated_.size();  // a dominated candidate cuts its whole orbit
     std::vector<Vertex> candidates;
     candidates.reserve(n_ - 1);
     for (Vertex t = 0; t < n_; ++t) {
-      if (t != player_ && !eliminated_[t]) candidates.push_back(t);
+      if (t != player_ && !eliminated[t]) candidates.push_back(t);
     }
     dfs(candidates, /*floor_lb=*/0, /*depth=*/0);
-  }
-
-  void eliminate_dominated(SolverResult& result) {
-    if (!have_matrix_ || n_ > kDominanceLimit) return;
-    for (Vertex t2 = 0; t2 < n_; ++t2) {
-      if (t2 == player_) continue;
-      for (Vertex t1 = 0; t1 < n_ && !eliminated_[t2]; ++t1) {
-        if (t1 == player_ || t1 == t2 || eliminated_[t1]) continue;
-        bool dominates = true;
-        for (Vertex v = 0; v < n_ && dominates; ++v) {
-          if (v == player_) continue;
-          const std::uint64_t a = std::min(head_cover(t1, v), in_cover_[v]);
-          const std::uint64_t b = std::min(head_cover(t2, v), in_cover_[v]);
-          dominates = a <= b;
-        }
-        if (dominates) {
-          eliminated_[t2] = true;
-          ++result.nodes_pruned;  // a dominated candidate cuts its whole orbit
-        }
-      }
-    }
   }
 
   void finish(SolverResult& result) {
@@ -208,39 +268,12 @@ class Search {
     result.nodes_explored = nodes_explored_;
     result.nodes_pruned += nodes_pruned_;
     result.evaluated += evaluated_;
-    result.bfs_avoided = eval_.bfs_avoided();
+    result.bfs_avoided = oracle_ ? oracle_->bfs_avoided() : 0;
     result.optimal = !truncated_;
     result.lower_bound = truncated_ ? std::min(trunc_lb_, best_cost_) : best_cost_;
   }
 
  private:
-  void build_matrix(const Digraph& g) {
-    const UGraph base = best_response_base(g, player_);
-    BfsRunner runner(n_);
-    dist_.assign(static_cast<std::size_t>(n_) * n_, 0);
-    for (Vertex s = 0; s < n_; ++s) {
-      if (s == player_) continue;  // row unused (never a candidate/seed)
-      runner.run(base, s);
-      std::copy(runner.dist().begin(), runner.dist().end(), dist_.begin() + std::size_t{s} * n_);
-    }
-    in_cover_.assign(n_, kInfCost);
-    for (const Vertex w : player_in_neighbors(g, player_)) {
-      for (Vertex v = 0; v < n_; ++v) {
-        in_cover_[v] = std::min(in_cover_[v], head_cover(w, v));
-      }
-    }
-    cover_stack_.push_back(in_cover_);
-    have_matrix_ = true;
-    eliminated_.assign(n_, 0);
-  }
-
-  /// The distance charge v pays when served through head t: 1 + d_base(t, v),
-  /// saturated at Cinf across components (matching the cost model).
-  [[nodiscard]] std::uint64_t head_cover(Vertex t, Vertex v) const {
-    const std::uint32_t d = dist_[std::size_t{t} * n_ + v];
-    return d == kUnreachable ? inf_ : std::uint64_t{d} + 1;
-  }
-
   [[nodiscard]] bool out_of_budget() {
     if (budget_.node_limit > 0 && nodes_explored_ >= budget_.node_limit) return true;
     if (budget_.deadline_seconds > 0 && timer_.elapsed_seconds() >= budget_.deadline_seconds) {
@@ -249,43 +282,61 @@ class Search {
     return false;
   }
 
-  /// Admissible lower bound for the subtree (P fixed, ≤ r heads from
-  /// `allowed`). See the header for the two bound families.
-  [[nodiscard]] std::uint64_t node_lower_bound(std::uint64_t cost_p,
-                                               const std::vector<Candidate>& cands,
-                                               std::uint32_t r) {
-    std::uint64_t lb = 0;
-    if (version_ == CostVersion::Sum) {
-      // Savings are subadditive: subtract only the r largest single-head
-      // savings from the node cost.
-      savings_scratch_.clear();
-      for (const Candidate& c : cands) savings_scratch_.push_back(c.saving);
-      const std::size_t keep = std::min<std::size_t>(r, savings_scratch_.size());
-      std::partial_sort(savings_scratch_.begin(), savings_scratch_.begin() + keep,
-                        savings_scratch_.end(), std::greater<>());
-      std::uint64_t gain = 0;
-      for (std::size_t i = 0; i < keep; ++i) gain += savings_scratch_[i];
-      lb = gain >= cost_p ? 0 : cost_p - gain;
-    }
-    if (have_matrix_) {
-      // Seed-distance bound: dist(v) ≥ min over every seed the subtree could
-      // ever own (in ∪ P via the cover stack, plus any allowed candidate).
-      const std::vector<std::uint64_t>& cover = cover_stack_.back();
-      std::uint64_t max_lb = 0;
-      std::uint64_t sum_lb = 0;
-      for (Vertex v = 0; v < n_; ++v) {
-        if (v == player_) continue;
-        std::uint64_t best = cover[v];
-        for (const Candidate& c : cands) {
-          best = std::min(best, head_cover(c.t, v));
-          if (best <= 1) break;
-        }
-        max_lb = std::max(max_lb, best);
-        sum_lb += best;
+  /// Score every allowed child of P into `cands` and return the node's
+  /// admissible lower bound (P fixed, ≤ r more heads from `allowed`). See
+  /// the header for the two bound families.
+  [[nodiscard]] std::uint64_t probe_children(const std::vector<Vertex>& allowed,
+                                             std::uint64_t cost_p, std::uint32_t r,
+                                             std::vector<Candidate>& cands) {
+    std::uint64_t seed_lb = 0;
+    if (table_) {
+      seed_lb = table_->probe_all(allowed, cost_p, cands);
+    } else {
+      for (const Vertex t : allowed) {
+        const std::uint64_t c = oracle_->probe(t);
+        BBNG_ASSERT(c <= cost_p);
+        cands.push_back({t, c, cost_p - c});
       }
-      lb = std::max(lb, version_ == CostVersion::Sum ? sum_lb : max_lb);
     }
-    return lb;
+    evaluated_ += allowed.size();
+    if (version_ == CostVersion::Max) return seed_lb;
+    // Savings are subadditive: subtract only the r largest single-head
+    // savings from the node cost.
+    const std::uint64_t gain = top_savings(cands.begin(), cands.end(), r);
+    return std::max(seed_lb, gain >= cost_p ? 0 : cost_p - gain);
+  }
+
+  /// Sum of the r largest savings in [first, last).
+  [[nodiscard]] std::uint64_t top_savings(std::vector<Candidate>::const_iterator first,
+                                          std::vector<Candidate>::const_iterator last,
+                                          std::uint32_t r) {
+    savings_scratch_.clear();
+    for (; first != last; ++first) savings_scratch_.push_back(first->saving);
+    const std::size_t keep = std::min<std::size_t>(r, savings_scratch_.size());
+    std::partial_sort(savings_scratch_.begin(), savings_scratch_.begin() + keep,
+                      savings_scratch_.end(), std::greater<>());
+    std::uint64_t gain = 0;
+    for (std::size_t i = 0; i < keep; ++i) gain += savings_scratch_[i];
+    return gain;
+  }
+
+  void push(Vertex t) {
+    heads_.push_back(t);
+    if (table_) {
+      table_->push(t);
+    } else {
+      oracle_->push(t);
+    }
+  }
+
+  void pop() {
+    const Vertex t = heads_.back();
+    heads_.pop_back();
+    if (table_) {
+      table_->pop(t);
+    } else {
+      oracle_->pop(t);
+    }
   }
 
   void dfs(const std::vector<Vertex>& allowed, std::uint64_t floor_lb, std::uint32_t depth) {
@@ -295,22 +346,15 @@ class Search {
       return;
     }
     ++nodes_explored_;
-    const std::uint64_t cost_p = eval_.cost();
-    offer(eval_.heads(), cost_p);
+    const std::uint64_t cost_p = table_ ? table_->cost() : oracle_->cost();
+    offer(heads_, cost_p);
     const std::uint32_t r = b_ - depth;
     if (r == 0 || allowed.empty()) return;
 
-    // Probe every allowed candidate once (journaled trial inserts).
+    // Probe every allowed candidate once.
     std::vector<Candidate> cands;
     cands.reserve(allowed.size());
-    for (const Vertex t : allowed) {
-      const std::uint64_t c = eval_.probe(t);
-      BBNG_ASSERT(c <= cost_p);
-      cands.push_back({t, c, cost_p - c});
-    }
-    evaluated_ += allowed.size();
-
-    const std::uint64_t lb = node_lower_bound(cost_p, cands, r);
+    const std::uint64_t lb = probe_children(allowed, cost_p, r, cands);
     if (lb >= best_cost_) {
       ++nodes_pruned_;
       return;
@@ -331,7 +375,7 @@ class Search {
       // Children are leaves and their costs are already probed.
       for (const Candidate& c : cands) {
         if (c.cost < best_cost_) {
-          std::vector<Vertex> heads = eval_.heads();
+          std::vector<Vertex> heads = heads_;
           heads.push_back(c.t);
           offer(heads, c.cost);
         }
@@ -347,33 +391,19 @@ class Search {
         return;
       }
       const Candidate& child = cands[k];
-      child_allowed.clear();
-      for (std::size_t j = k + 1; j < cands.size(); ++j) child_allowed.push_back(cands[j].t);
       if (version_ == CostVersion::Sum) {
         // Pre-prune with the parent-level savings (≥ the child-level ones).
-        std::uint64_t gain = 0;
-        savings_scratch_.clear();
-        for (std::size_t j = k + 1; j < cands.size(); ++j) {
-          savings_scratch_.push_back(cands[j].saving);
-        }
-        const std::size_t keep = std::min<std::size_t>(r - 1, savings_scratch_.size());
-        std::partial_sort(savings_scratch_.begin(), savings_scratch_.begin() + keep,
-                          savings_scratch_.end(), std::greater<>());
-        for (std::size_t i = 0; i < keep; ++i) gain += savings_scratch_[i];
+        const std::uint64_t gain = top_savings(cands.begin() + k + 1, cands.end(), r - 1);
         if (child.cost - std::min(child.cost, gain) >= best_cost_) {
           ++nodes_pruned_;
           continue;
         }
       }
-      eval_.push(child.t);
-      if (have_matrix_) {
-        cover_stack_.push_back(cover_stack_.back());
-        auto& top = cover_stack_.back();
-        for (Vertex v = 0; v < n_; ++v) top[v] = std::min(top[v], head_cover(child.t, v));
-      }
+      child_allowed.clear();
+      for (std::size_t j = k + 1; j < cands.size(); ++j) child_allowed.push_back(cands[j].t);
+      push(child.t);
       dfs(child_allowed, std::max(lb, floor_lb), depth + 1);
-      if (have_matrix_) cover_stack_.pop_back();
-      eval_.pop();
+      pop();
     }
   }
 
@@ -381,16 +411,13 @@ class Search {
   const Vertex player_;
   const CostVersion version_;
   const std::uint32_t b_;
-  const std::uint64_t inf_;
   const SolverBudget budget_;
-  NodeEval eval_;
+  std::optional<CoverTable> table_;  ///< n ≤ kMatrixLimit
+  std::optional<NodeEval> oracle_;   ///< the fallback above it
+  std::vector<Vertex> dominated_;    ///< candidates dropped at the root
   Timer timer_;
 
-  bool have_matrix_ = false;
-  std::vector<std::uint32_t> dist_;  ///< n×n base distances, row-major by source
-  std::vector<std::uint64_t> in_cover_;
-  std::vector<std::vector<std::uint64_t>> cover_stack_;
-  std::vector<std::uint8_t> eliminated_ = std::vector<std::uint8_t>(n_, 0);
+  std::vector<Vertex> heads_;  ///< the DFS path P
   std::vector<std::uint64_t> savings_scratch_;
 
   std::uint64_t best_cost_ = kInfCost;
@@ -403,6 +430,18 @@ class Search {
 };
 
 }  // namespace
+
+namespace detail {
+
+std::vector<Vertex> dominated_heads(const Digraph& g, Vertex player) {
+  BBNG_REQUIRE(player < g.num_vertices());
+  std::vector<Vertex> in = player_in_neighbors(g, player);
+  // Every candidate is an in-neighbour: the largest-index one survives.
+  if (!in.empty() && in.size() + 1 == g.num_vertices()) in.pop_back();
+  return in;
+}
+
+}  // namespace detail
 
 SolverResult ExactBranchAndBound::solve(const Digraph& g, Vertex player, CostVersion version,
                                         const SolverBudget& budget, ThreadPool* pool,
@@ -456,14 +495,15 @@ SolverResult ExactBranchAndBound::solve(const Digraph& g, Vertex player, CostVer
   }
 
   Search search(g, player, version, budget, b);
-  result.current_cost = search.eval().current_cost();
+  result.current_cost = search.current_cost();
 
   // Incumbent seeding: the current strategy plus a greedy+swap descent —
   // only while they fit the cap (they carry exactly out-degree heads, so a
   // forced shrink below the current degree starts from the empty incumbent
   // the DFS root offers). A strong incumbent is what makes the bounds bite.
   if (current_feasible) {
-    search.offer(search.eval().current_strategy(), result.current_cost);
+    const std::span<const Vertex> current = g.out_neighbors(player);
+    search.offer({current.begin(), current.end()}, result.current_cost);
     const GreedySwapDescent descent =
         greedy_swap_descent(g, player, version, budget.incremental, budget.core);
     search.offer(descent.coarse.strategy, descent.coarse.cost);
@@ -471,7 +511,6 @@ SolverResult ExactBranchAndBound::solve(const Digraph& g, Vertex player, CostVer
     result.evaluated += descent.coarse.evaluated + descent.refined.evaluated;
   }
 
-  search.eliminate_dominated(result);
   search.run();
   search.finish(result);
 

@@ -5,11 +5,23 @@
 // the player's cost is monotone non-increasing in its head set (every head
 // only adds a seed to the distance minimisation), so the optimum over
 // ≤ b-sets equals the optimum over exactly-b sets and any incumbent pads to
-// budget for free. Each DFS node holds a partial head set P on a
-// DeltaEvaluator, so descending/backtracking is one dynamic-BFS edge
-// operation and probing a child is a journaled trial insert (rolled back in
-// O(touched)) — the machinery bench_delta_eval measures, now driving a
-// search tree instead of a hill climb.
+// budget for free.
+//
+// Scoring. Every u–v distance of a head set factors through the base graph
+// (strategy_eval.hpp): dist(u, v) = min over seeds s ∈ In(u) ∪ S of
+// 1 + d_base(s, v). Up to kMatrixLimit vertices the search precomputes the
+// cover table cover[t][v] = 1 + d_base(t, v), saturated at Cinf where t cannot
+// reach v, and keeps one row per DFS depth holding the cover of In(u) ∪ P for
+// the partial head set P. A child probe is then one pass over two rows:
+//   SUM cost(P ∪ {t}) = Σ_{v≠u} min(top[v], cover[t][v]);
+//   MAX cost(P ∪ {t}) = the max of the same mins when every base component
+//       holds a seed, else Cinf·(1 + unseeded components), the unseeded count
+//       kept in O(1) by a per-component seed refcount along the DFS path.
+// Descending is one row of mins and backtracking is free. Above kMatrixLimit
+// the table would not fit, and the search falls back to the CSR delta oracle
+// (DeltaEvaluator): descend/backtrack is one dynamic-BFS edge operation and a
+// probe is a journaled trial insert rolled back in O(touched). Both paths
+// produce the same costs, so the search tree is the same on either.
 //
 // Pruning (all admissible, i.e. never cuts a subtree containing a strictly
 // better solution than the incumbent):
@@ -17,20 +29,22 @@
 //     the single-head savings, so savings are subadditive:
 //     cost(P ∪ T) ≥ cost(P) − Σ_{t∈T} saving(t | P). With r head slots left,
 //     LB = cost(P) − (sum of the r largest single-head savings), each
-//     saving measured by one trial probe.
-//   * MAX seed-distance bound — from an all-pairs distance table on the base
-//     graph: dist(v) ≥ 1 + min over every seed the subtree could ever own
-//     (in-neighbours ∪ P ∪ allowed candidates) of d_base(s, v); the max over
-//     v lower-bounds the MAX cost (unreachable v charge Cinf). This is the
-//     bidirectional-bound idea of the SSSP literature (Wilson–Zwick in
-//     PAPERS.md): meet the forward partial assignment with precomputed
-//     backward distances from the candidates.
-//   * Dominance/symmetry elimination — candidate t2 is dropped at the root
-//     when some kept t1 satisfies, for every v,
-//     min(1 + d(t1,v), g(v)) ≤ min(1 + d(t2,v), g(v)), where g(v) is the
-//     distance cover the player's in-neighbours provide for free. Mutually
-//     dominating (symmetric, interchangeable) candidates collapse to their
-//     smallest representative.
+//     saving measured by one probe.
+//   * MAX/SUM seed-distance bound (table path) — dist(v) ≥ the min over
+//     every seed the subtree could ever own (In(u) ∪ P ∪ allowed
+//     candidates) of the cover row entries; the max (MAX) or sum (SUM) over
+//     v lower-bounds the cost. This is the bidirectional-bound idea of the
+//     SSSP literature (Wilson–Zwick in PAPERS.md): meet the forward partial
+//     assignment with precomputed backward distances from the candidates.
+//   * Dominance elimination (n ≤ 256) — candidate t2 is dominated by t1 when
+//     min(cover[t1][v], g(v)) ≤ min(cover[t2][v], g(v)) for every v, where
+//     g(v) is the cover the in-neighbours provide for free. In closed form:
+//     at v = t2 the dominated side pays min(1, g(t2)) = 1, while another head
+//     pays cover[t1][t2] ≥ 2, so t2 can be dominated only if g(t2) = 1, i.e.
+//     t2 ∈ In(u). Conversely an in-neighbour's row never beats g, so every
+//     other candidate dominates it. The root therefore drops every
+//     in-neighbour, except that the largest-index one survives when every
+//     candidate is an in-neighbour (detail::dominated_heads).
 //   * Zero-saving elimination (SUM only) — single-head savings shrink as P
 //     grows, so a candidate saving nothing at a node saves nothing anywhere
 //     below it and is dropped from the subtree.
@@ -41,7 +55,12 @@
 // result carries the optimality certificate (`optimal = true`,
 // lower_bound == cost) — this is what turns "no deviation found" into a
 // *certified* Nash verdict (game/equilibrium.hpp's verify_nash_equilibrium).
+// SolverBudget's `incremental` and `core` select only the evaluator of the
+// greedy/swap incumbent seeding; the search itself always scores as above.
 #pragma once
+
+#include <cstdint>
+#include <vector>
 
 #include "solver/solver.hpp"
 
@@ -49,11 +68,14 @@ namespace bbng {
 
 class ExactBranchAndBound final : public BestResponseBackend {
  public:
+  /// Largest n scored on the n×n cover table; above it the delta oracle.
+  static constexpr std::uint32_t kMatrixLimit = 2048;
+
   [[nodiscard]] std::string_view name() const noexcept override { return "exact_bb"; }
   [[nodiscard]] std::string_view description() const noexcept override {
-    return "certified branch-and-bound over head sets: delta-oracle trial probes, "
-           "admissible savings/seed-distance bounds, dominance elimination, anytime "
-           "under a node/deadline budget";
+    return "certified branch-and-bound over head sets: cover-table probes (delta oracle "
+           "above n = 2048), admissible savings/seed-distance bounds, dominance elimination, "
+           "anytime under a node/deadline budget";
   }
 
   /// `budget.node_limit` caps expanded search-tree nodes (0 = unlimited);
@@ -64,5 +86,14 @@ class ExactBranchAndBound final : public BestResponseBackend {
                                    const SolverBudget& budget = {}, ThreadPool* pool = nullptr,
                                    TranspositionCache* cache = nullptr) const override;
 };
+
+namespace detail {
+
+/// The candidates the root dominance rule drops for `player`, ascending:
+/// every in-neighbour, bar the largest-index one when every candidate is an
+/// in-neighbour. (exact_bb applies the rule only for n ≤ 256.)
+[[nodiscard]] std::vector<Vertex> dominated_heads(const Digraph& g, Vertex player);
+
+}  // namespace detail
 
 }  // namespace bbng

@@ -1,19 +1,23 @@
 // Differential tests for the certified branch-and-bound backend: on
-// exhaustively enumerable instances (n ≤ 8, b_i ≤ 2) ExactBranchAndBound
+// exhaustively enumerable instances (n ≤ 20, b_i ≤ 2) ExactBranchAndBound
 // must match BestResponseSolver::exact (brute-force enumeration) cost for
-// cost with the optimality certificate set — on both cost versions, both
-// scoring paths (delta oracle and naive), and disconnected instances.
-// Anytime behaviour (budget truncation), the transposition cache, and the
+// cost with the optimality certificate set — on both cost versions,
+// disconnected instances included, on the cover-table path and on the delta
+// oracle fallback above ExactBranchAndBound::kMatrixLimit. The closed-form
+// dominance rule is checked against the pairwise sweep it replaced. Anytime
+// behaviour (budget truncation), the transposition cache, and the
 // lower-bound invariants are pinned alongside.
 #include "solver/exact_bb.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <vector>
 
 #include "game/best_response.hpp"
 #include "game/strategy_eval.hpp"
+#include "graph/bfs.hpp"
 #include "graph/generators.hpp"
 #include "util/rng.hpp"
 
@@ -29,6 +33,66 @@ Digraph small_instance(std::uint32_t n, Rng& rng) {
   return random_profile(budgets, rng);
 }
 
+/// The pairwise dominance sweep exact_bb ran before the closed form, kept as
+/// its differential witness: candidate t2 is dropped when some kept t1 covers
+/// every v at least as well, each taken together with the cover g(v) the
+/// player's in-neighbours provide for free. O(n³).
+std::vector<Vertex> pairwise_dominated_heads(const Digraph& g, Vertex player) {
+  const std::uint32_t n = g.num_vertices();
+  const UGraph base = best_response_base(g, player);
+  std::vector<std::vector<std::uint64_t>> cover(n, std::vector<std::uint64_t>(n, cinf(n)));
+  BfsRunner runner(n);
+  for (Vertex t = 0; t < n; ++t) {
+    if (t == player) continue;
+    runner.run(base, t);
+    for (Vertex v = 0; v < n; ++v) {
+      if (runner.dist()[v] != kUnreachable) cover[t][v] = std::uint64_t{runner.dist()[v]} + 1;
+    }
+  }
+  std::vector<std::uint64_t> in_cover(n, ~0ULL);
+  for (const Vertex w : player_in_neighbors(g, player)) {
+    for (Vertex v = 0; v < n; ++v) in_cover[v] = std::min(in_cover[v], cover[w][v]);
+  }
+  std::vector<std::uint8_t> eliminated(n, 0);
+  std::vector<Vertex> dropped;
+  for (Vertex t2 = 0; t2 < n; ++t2) {
+    if (t2 == player) continue;
+    for (Vertex t1 = 0; t1 < n && !eliminated[t2]; ++t1) {
+      if (t1 == player || t1 == t2 || eliminated[t1]) continue;
+      bool dominates = true;
+      for (Vertex v = 0; v < n && dominates; ++v) {
+        if (v == player) continue;
+        dominates = std::min(cover[t1][v], in_cover[v]) <= std::min(cover[t2][v], in_cover[v]);
+      }
+      if (dominates) {
+        eliminated[t2] = 1;
+        dropped.push_back(t2);
+      }
+    }
+  }
+  return dropped;
+}
+
+/// exact_bb must match brute-force enumeration on `g` for every player with a
+/// non-empty strategy, certified, with a strategy that realises its cost.
+void expect_matches_brute_force(const ExactBranchAndBound& bb, const Digraph& g,
+                                CostVersion version, const std::string& context) {
+  const BestResponseSolver brute(version);
+  for (Vertex u = 0; u < g.num_vertices(); ++u) {
+    if (g.out_degree(u) == 0) continue;
+    const BestResponse reference = brute.exact(g, u);
+    const SolverResult result = bb.solve(g, u, version);
+    ASSERT_EQ(result.cost, reference.cost) << context << " u " << u << " " << to_string(version);
+    ASSERT_TRUE(result.optimal) << context << " u " << u;
+    ASSERT_EQ(result.lower_bound, result.cost);
+    ASSERT_EQ(result.current_cost, reference.current_cost) << context << " u " << u;
+    ASSERT_EQ(result.bfs_avoided, 0u) << "the cover-table path runs no delta oracle";
+    const StrategyEvaluator eval(g, u, version);
+    StrategyEvaluator::Scratch scratch(g.num_vertices());
+    ASSERT_EQ(eval.evaluate(result.strategy, scratch), result.cost) << context << " u " << u;
+  }
+}
+
 TEST(SolverExact, MatchesBruteForceOnExhaustiveCorpus) {
   const ExactBranchAndBound bb;
   Rng rng(4242);
@@ -40,6 +104,7 @@ TEST(SolverExact, MatchesBruteForceOnExhaustiveCorpus) {
       const BestResponseSolver brute(version);
       for (Vertex u = 0; u < n; ++u) {
         const BestResponse reference = brute.exact(g, u);
+        // `incremental` selects only the evaluator of the incumbent seeding.
         for (const bool incremental : {true, false}) {
           SolverBudget budget;
           budget.incremental = incremental;
@@ -81,6 +146,117 @@ TEST(SolverExact, HandlesDisconnectedInstances) {
             << "round " << round << " u " << u << " " << to_string(version);
         ASSERT_TRUE(result.optimal);
       }
+    }
+  }
+}
+
+TEST(SolverExact, MatchesBruteForceAtTwelveToTwenty) {
+  // The exhaustive corpus above stops at n = 8; here n = 12–20 (C(19, 2) =
+  // 171 strategies per player), connected-leaning and disconnected budgets.
+  // The disconnected MAX solves drive the per-component seed refcount:
+  // their costs are Cinf·(1 + unseeded components) until a head reaches
+  // every component.
+  const ExactBranchAndBound bb;
+  Rng rng(2024);
+  int disconnected_max = 0;
+  for (int round = 0; round < 36; ++round) {
+    const std::uint32_t n = 12 + static_cast<std::uint32_t>(round % 9);  // 12..20
+    const bool sparse = round % 2 == 1;
+    const std::uint64_t sigma = sparse ? n / 2 + rng.next_below(n / 3) : n + rng.next_below(n);
+    std::vector<std::uint32_t> budgets = random_budgets(n, sigma, rng);
+    for (auto& b : budgets) b = std::min(b, 2u);
+    const Digraph g = random_profile(budgets, rng);
+    const std::string context = "round " + std::to_string(round);
+    for (const CostVersion version : {CostVersion::Sum, CostVersion::Max}) {
+      expect_matches_brute_force(bb, g, version, context);
+      if (HasFatalFailure()) return;
+    }
+    if (sparse) {
+      const StrategyEvaluator eval(g, 0, CostVersion::Max);
+      if (eval.current_cost() >= 2 * cinf(n)) ++disconnected_max;
+    }
+  }
+  EXPECT_GT(disconnected_max, 0) << "no MAX instance left two components unseeded";
+}
+
+TEST(SolverExact, ClosedFormDominanceMatchesPairwiseSweep) {
+  // Random instances with n ≤ 64: every player's closed-form drop set must be
+  // the pairwise sweep's, element for element, so the root adds the same
+  // count to nodes_pruned and the DFS sees the same candidates.
+  Rng rng(8080);
+  int without_in = 0;
+  int with_in = 0;
+  for (int round = 0; round < 40; ++round) {
+    const std::uint32_t n = 2 + static_cast<std::uint32_t>(rng.next_below(63));  // 2..64
+    const std::uint64_t sigma = n / 2 + rng.next_below(2 * n);
+    const Digraph g = random_profile(random_budgets(n, sigma, rng), rng);
+    for (Vertex u = 0; u < n; ++u) {
+      const std::vector<Vertex> closed = detail::dominated_heads(g, u);
+      ASSERT_EQ(closed, pairwise_dominated_heads(g, u)) << "round " << round << " u " << u;
+      ++(player_in_neighbors(g, u).empty() ? without_in : with_in);
+    }
+  }
+  EXPECT_GT(without_in, 0);
+  EXPECT_GT(with_in, 0);
+
+  // Every candidate is an in-neighbour: a star of arcs into the centre. All
+  // but the largest-index in-neighbour go; the leaves have no in-neighbour
+  // and keep every candidate.
+  for (const std::uint32_t n : {2U, 3U, 9U, 40U}) {
+    Digraph star(n);
+    for (Vertex v = 1; v < n; ++v) star.add_arc(v, 0);
+    for (Vertex u = 0; u < n; ++u) {
+      ASSERT_EQ(detail::dominated_heads(star, u), pairwise_dominated_heads(star, u))
+          << "star n " << n << " u " << u;
+    }
+    std::vector<Vertex> expected;
+    for (Vertex v = 1; v + 1 < n; ++v) expected.push_back(v);
+    EXPECT_EQ(detail::dominated_heads(star, 0), expected);
+    EXPECT_TRUE(detail::dominated_heads(star, n - 1).empty());
+  }
+}
+
+TEST(SolverExact, DominanceCountsTowardNodesPruned) {
+  // A player pointed at by everyone but one vertex: the root drops n − 2
+  // in-neighbours, each counted as a pruned node, and the survivors still
+  // give the enumeration optimum on both cost versions.
+  const std::uint32_t n = 10;
+  Digraph g(n);
+  for (Vertex v = 1; v + 1 < n; ++v) g.add_arc(v, 0);
+  g.add_arc(0, n - 1);
+  g.add_arc(n - 1, 1);
+  const ExactBranchAndBound bb;
+  for (const CostVersion version : {CostVersion::Sum, CostVersion::Max}) {
+    const SolverResult result = bb.solve(g, 0, version);
+    EXPECT_GE(result.nodes_pruned, detail::dominated_heads(g, 0).size());
+    EXPECT_EQ(detail::dominated_heads(g, 0).size(), n - 2);
+    expect_matches_brute_force(bb, g, version, "near-star");
+  }
+}
+
+TEST(SolverExact, OracleFallbackAboveMatrixLimitMatchesEnumeration) {
+  // n = kMatrixLimit + 1 skips the cover table: the search scores on the CSR
+  // delta oracle. A sparse unit-budget state keeps b = 1, so every strategy
+  // is one head and StrategyEvaluator enumerates all n − 1 of them.
+  const std::uint32_t n = ExactBranchAndBound::kMatrixLimit + 1;
+  Rng rng(31337);
+  const Digraph g = random_profile(std::vector<std::uint32_t>(n, 1), rng);
+  const ExactBranchAndBound bb;
+  for (const CostVersion version : {CostVersion::Sum, CostVersion::Max}) {
+    for (const Vertex u : {Vertex{0}, Vertex{n / 2}, Vertex{n - 1}}) {
+      const StrategyEvaluator player_eval(g, u, version);
+      StrategyEvaluator::Scratch scratch(n);
+      std::uint64_t best = player_eval.current_cost();
+      for (Vertex t = 0; t < n; ++t) {
+        if (t == u) continue;
+        const Vertex head[1] = {t};
+        best = std::min(best, player_eval.evaluate(head, scratch));
+      }
+      const SolverResult result = bb.solve(g, u, version);
+      EXPECT_TRUE(result.optimal) << "u " << u << " " << to_string(version);
+      EXPECT_EQ(result.cost, best) << "u " << u << " " << to_string(version);
+      EXPECT_EQ(result.current_cost, player_eval.current_cost());
+      EXPECT_GT(result.bfs_avoided, 0u) << "the fallback must score on the delta oracle";
     }
   }
 }

@@ -1,12 +1,18 @@
 // Unit tests for ThreadPool: chunked bulk execution, exception transport,
-// and serial degradation at width 1.
+// serial degradation at width 1, and lost-wakeup stress under a watchdog.
 #include "parallel/thread_pool.hpp"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <cstdio>
+#include <cstdlib>
+#include <functional>
+#include <future>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "parallel/parallel_for.hpp"
@@ -68,6 +74,63 @@ TEST(ThreadPool, ReusableAcrossManyBulks) {
     });
   }
   EXPECT_EQ(total.load(), 64U * 50U);
+}
+
+/// Run `body` on a helper thread and fail if it has not returned within
+/// `deadline`. A parked pool cannot be unwound, so on expiry the process
+/// exits at once: the test fails fast instead of hanging the suite.
+void run_with_watchdog(std::chrono::seconds deadline, const std::function<void()>& body) {
+  std::promise<void> done;
+  std::future<void> finished = done.get_future();
+  std::thread runner([&] {
+    body();
+    done.set_value();
+  });
+  if (finished.wait_for(deadline) != std::future_status::ready) {
+    std::fprintf(stderr, "thread pool watchdog: body still running after %llds (lost wakeup)\n",
+                 static_cast<long long>(deadline.count()));
+    std::_Exit(1);
+  }
+  runner.join();
+}
+
+// Each bulk is as small as the parallel path allows (one chunk per lane),
+// so the submitter usually finishes its own chunk while a worker is still
+// deregistering: the window in which an unlocked decrement-and-notify lost
+// the submitter's wakeup and parked it forever.
+TEST(ThreadPoolStress, TinyBulksNeverLoseAWakeup) {
+  for (const unsigned width : {2U, 3U, 4U}) {
+    run_with_watchdog(std::chrono::seconds(60), [width] {
+      ThreadPool pool(width);
+      std::atomic<std::uint64_t> total{0};
+      constexpr int kBulks = 20000;
+      for (int round = 0; round < kBulks; ++round) {
+        pool.run_chunked(width, 1, [&](std::uint64_t b, std::uint64_t e) {
+          total.fetch_add(e - b, std::memory_order_relaxed);
+        });
+      }
+      EXPECT_EQ(total.load(), std::uint64_t{width} * kBulks) << "width " << width;
+    });
+  }
+}
+
+TEST(ThreadPoolStress, ShortLivedPoolsShutDownCleanly) {
+  // Construction, a few bulks and destruction in a loop: the stop flag and
+  // the last bulk's completion race the same wakeups.
+  run_with_watchdog(std::chrono::seconds(60), [] {
+    std::uint64_t total = 0;
+    for (int round = 0; round < 2000; ++round) {
+      ThreadPool pool(2 + round % 3);
+      std::atomic<std::uint64_t> sum{0};
+      for (int bulk = 0; bulk < 4; ++bulk) {
+        pool.run_chunked(3, 1, [&](std::uint64_t b, std::uint64_t e) {
+          sum.fetch_add(e - b, std::memory_order_relaxed);
+        });
+      }
+      total += sum.load();
+    }
+    EXPECT_EQ(total, 2000U * 4U * 3U);
+  });
 }
 
 TEST(ParallelFor, SumOfIndices) {
