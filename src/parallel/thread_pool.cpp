@@ -97,7 +97,9 @@ void ThreadPool::run_chunked(std::uint64_t count, std::uint64_t grain,
         return bulk.done_chunks.load(std::memory_order_acquire) >= bulk.total_chunks &&
                bulk.drivers.load(std::memory_order_acquire) == 0;
       });
-      active_ = nullptr;
+      // Another submitter (a concurrent thread, or a body nesting a bulk)
+      // may have installed its own bulk since; leave that one visible.
+      if (active_ == &bulk) active_ = nullptr;
     }
   }
 

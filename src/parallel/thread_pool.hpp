@@ -37,6 +37,9 @@ class ThreadPool {
 
   /// Run body(begin, end) over [0, count) split into chunks of `grain`.
   /// Blocks until every chunk completed. Rethrows the first body exception.
+  /// May be called from several threads at once and from inside a body:
+  /// idle workers join the most recently submitted bulk, and every submitter
+  /// drives its own bulk to completion, with or without them.
   void run_chunked(std::uint64_t count, std::uint64_t grain,
                    const std::function<void(std::uint64_t, std::uint64_t)>& body);
 

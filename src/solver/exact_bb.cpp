@@ -146,6 +146,21 @@ class CoverTable {
     return *std::max_element(top, top + n_);
   }
 
+  /// Cost of P ∪ {t}: one row of probe_all.
+  [[nodiscard]] std::uint64_t probe(Vertex t) const {
+    const std::uint32_t n = n_;
+    const std::uint32_t* top = row(depth_);
+    const std::uint32_t* cover = cover_row(t);
+    if (version_ == CostVersion::Sum) {
+      std::uint64_t sum = 0;
+      for (Vertex v = 0; v < n; ++v) sum += std::min(top[v], cover[v]);
+      return sum;
+    }
+    std::uint32_t worst = 0;
+    for (Vertex v = 0; v < n; ++v) worst = std::max(worst, std::min(top[v], cover[v]));
+    return max_cost(t, worst);
+  }
+
   /// Cost of P ∪ {t} for every allowed t, appended to `cands`; also returns
   /// the seed-distance bound of the subtree (module header): per v, the min
   /// over the top row and every allowed candidate's cover row, summed (SUM)
@@ -170,8 +185,7 @@ class CoverTable {
           worst = std::max(worst, std::min(top[v], cover[v]));
           reach[v] = std::min(reach[v], cover[v]);
         }
-        const std::uint32_t unseeded = unseeded_ - (seed_refs_[comp_[t]] == 0 ? 1 : 0);
-        c = unseeded > 0 ? inf_ * (1 + std::uint64_t{unseeded}) : worst;
+        c = max_cost(t, worst);
       }
       BBNG_ASSERT(c <= cost_p);
       cands.push_back({t, c, cost_p - c});
@@ -201,6 +215,12 @@ class CoverTable {
   }
 
  private:
+  /// MAX cost of P ∪ {t} whose largest min over the two rows is `worst`:
+  /// Cinf·(1 + unseeded components) while t leaves some component unseeded.
+  [[nodiscard]] std::uint64_t max_cost(Vertex t, std::uint32_t worst) const {
+    const std::uint32_t unseeded = unseeded_ - (seed_refs_[comp_[t]] == 0 ? 1 : 0);
+    return unseeded > 0 ? inf_ * (1 + std::uint64_t{unseeded}) : worst;
+  }
   void add_seed(Vertex s) {
     if (seed_refs_[comp_[s]]++ == 0) --unseeded_;
   }
@@ -248,6 +268,71 @@ class Search {
       best_cost_ = cost;
       best_heads_ = heads;
     }
+  }
+
+  /// The incumbent descent: BestResponseSolver::greedy, then swap_improve
+  /// from its sorted result, with their loop order, strict-< tie-breaks and
+  /// `evaluated` counts, scored on this search's evaluator. Leaves P empty
+  /// for run().
+  [[nodiscard]] detail::IncumbentDescent descend(std::uint32_t degree) {
+    detail::IncumbentDescent descent;
+    std::vector<std::uint8_t> used(n_, 0);
+    used[player_] = 1;
+
+    // Greedy: `degree` times, the lowest-index strict minimum over unused t.
+    for (std::uint32_t step = 0; step < degree; ++step) {
+      Vertex best = kUnreachable;
+      std::uint64_t best_cost = kInfCost;
+      for (Vertex t = 0; t < n_; ++t) {
+        if (used[t]) continue;
+        const std::uint64_t c = probe(t);
+        ++descent.coarse.evaluated;
+        if (c < best_cost) {
+          best_cost = c;
+          best = t;
+        }
+      }
+      BBNG_ASSERT(best != kUnreachable);
+      used[best] = 1;
+      push(best);
+    }
+    std::vector<Vertex> strategy = heads_;
+    std::sort(strategy.begin(), strategy.end());
+    std::uint64_t cost = node_cost();
+    descent.coarse.strategy = strategy;
+    descent.coarse.cost = cost;
+
+    // Swap: first improvement over heads i × ascending t, restarting at
+    // i = 0 after each commit. Dropping head i seats the other b − 1 heads.
+    descent.refined.evaluated = 1;
+    std::vector<Vertex> others;
+    bool improved = true;
+    while (improved) {
+      improved = false;
+      for (std::size_t i = 0; i < strategy.size() && !improved; ++i) {
+        others = strategy;
+        others.erase(others.begin() + static_cast<std::ptrdiff_t>(i));
+        seat(others);
+        for (Vertex t = 0; t < n_ && !improved; ++t) {
+          if (used[t]) continue;
+          const std::uint64_t c = probe(t);
+          ++descent.refined.evaluated;
+          if (c < cost) {
+            used[strategy[i]] = 0;
+            used[t] = 1;
+            strategy[i] = t;
+            cost = c;
+            improved = true;
+          }
+        }
+      }
+    }
+    seat({});
+    std::sort(strategy.begin(), strategy.end());
+    descent.refined.strategy = std::move(strategy);
+    descent.refined.cost = cost;
+    descent.coarse.current_cost = descent.refined.current_cost = current_cost();
+    return descent;
   }
 
   void run() {
@@ -320,6 +405,19 @@ class Search {
     return gain;
   }
 
+  [[nodiscard]] std::uint64_t node_cost() { return table_ ? table_->cost() : oracle_->cost(); }
+  [[nodiscard]] std::uint64_t probe(Vertex t) {
+    return table_ ? table_->probe(t) : oracle_->probe(t);
+  }
+
+  /// Make P the sequence `heads`: pop down to the common prefix, push the rest.
+  void seat(const std::vector<Vertex>& heads) {
+    std::size_t keep = 0;
+    while (keep < heads_.size() && keep < heads.size() && heads_[keep] == heads[keep]) ++keep;
+    while (heads_.size() > keep) pop();
+    for (std::size_t k = keep; k < heads.size(); ++k) push(heads[k]);
+  }
+
   void push(Vertex t) {
     heads_.push_back(t);
     if (table_) {
@@ -346,7 +444,7 @@ class Search {
       return;
     }
     ++nodes_explored_;
-    const std::uint64_t cost_p = table_ ? table_->cost() : oracle_->cost();
+    const std::uint64_t cost_p = node_cost();
     offer(heads_, cost_p);
     const std::uint32_t r = b_ - depth;
     if (r == 0 || allowed.empty()) return;
@@ -433,6 +531,13 @@ class Search {
 
 namespace detail {
 
+IncumbentDescent incumbent_descent(const Digraph& g, Vertex player, CostVersion version) {
+  BBNG_REQUIRE(player < g.num_vertices());
+  const std::uint32_t degree = g.out_degree(player);
+  Search search(g, player, version, SolverBudget{}, degree);
+  return search.descend(degree);
+}
+
 std::vector<Vertex> dominated_heads(const Digraph& g, Vertex player) {
   BBNG_REQUIRE(player < g.num_vertices());
   std::vector<Vertex> in = player_in_neighbors(g, player);
@@ -497,15 +602,15 @@ SolverResult ExactBranchAndBound::solve(const Digraph& g, Vertex player, CostVer
   Search search(g, player, version, budget, b);
   result.current_cost = search.current_cost();
 
-  // Incumbent seeding: the current strategy plus a greedy+swap descent —
-  // only while they fit the cap (they carry exactly out-degree heads, so a
-  // forced shrink below the current degree starts from the empty incumbent
-  // the DFS root offers). A strong incumbent is what makes the bounds bite.
+  // Incumbent seeding: the current strategy plus a greedy+swap descent on
+  // the search's own evaluator — only while they fit the cap (they carry
+  // exactly out-degree heads, so a forced shrink below the current degree
+  // starts from the empty incumbent the DFS root offers). A strong incumbent
+  // is what makes the bounds bite.
   if (current_feasible) {
     const std::span<const Vertex> current = g.out_neighbors(player);
     search.offer({current.begin(), current.end()}, result.current_cost);
-    const GreedySwapDescent descent =
-        greedy_swap_descent(g, player, version, budget.incremental, budget.core);
+    const detail::IncumbentDescent descent = search.descend(g.out_degree(player));
     search.offer(descent.coarse.strategy, descent.coarse.cost);
     search.offer(descent.refined.strategy, descent.refined.cost);
     result.evaluated += descent.coarse.evaluated + descent.refined.evaluated;

@@ -55,8 +55,14 @@
 // result carries the optimality certificate (`optimal = true`,
 // lower_bound == cost) — this is what turns "no deviation found" into a
 // *certified* Nash verdict (game/equilibrium.hpp's verify_nash_equilibrium).
-// SolverBudget's `incremental` and `core` select only the evaluator of the
-// greedy/swap incumbent seeding; the search itself always scores as above.
+//
+// Incumbent. Before the DFS, the search seeds its incumbent with the current
+// strategy and a greedy construction refined by first-improvement swap
+// descent — the loop order, tie-breaks and `evaluated` counts of
+// BestResponseSolver::greedy and swap_improve — scored on the same cover
+// table (or, above kMatrixLimit, the same delta oracle) as the search, so a
+// solve builds one evaluator. exact_bb reads neither SolverBudget's
+// `incremental` nor its `core`.
 #pragma once
 
 #include <cstdint>
@@ -88,6 +94,18 @@ class ExactBranchAndBound final : public BestResponseBackend {
 };
 
 namespace detail {
+
+/// exact_bb's incumbent descent for `player`, scored on the search's own
+/// evaluator: `coarse` is BestResponseSolver::greedy's construction and
+/// `refined` its swap_improve descent, equal to theirs in strategy, cost
+/// and `evaluated` (bfs_avoided is left 0; the solve reports the shared
+/// oracle's count).
+struct IncumbentDescent {
+  BestResponse coarse;
+  BestResponse refined;
+};
+[[nodiscard]] IncumbentDescent incumbent_descent(const Digraph& g, Vertex player,
+                                                 CostVersion version);
 
 /// The candidates the root dominance rule drops for `player`, ascending:
 /// every in-neighbour, bar the largest-index one when every candidate is an

@@ -85,11 +85,12 @@ SolverResult PortfolioSolver::solve(const Digraph& g, Vertex player, CostVersion
 
   // Racer 2: greedy construction from scratch, refined by swap descent.
   if (b >= 1 && !expired()) {
-    const GreedySwapDescent descent = greedy_swap_descent(g, player, version, budget.incremental, budget.core);
-    result.evaluated += descent.coarse.evaluated + descent.refined.evaluated;
-    result.bfs_avoided += descent.coarse.bfs_avoided + descent.refined.bfs_avoided;
-    offer(descent.coarse);
-    offer(descent.refined);
+    const BestResponse coarse = ladder.greedy(g, player);
+    const BestResponse refined = ladder.swap_improve(g, player, coarse.strategy);
+    result.evaluated += coarse.evaluated + refined.evaluated;
+    result.bfs_avoided += coarse.bfs_avoided + refined.bfs_avoided;
+    offer(coarse);
+    offer(refined);
   }
 
   // Racer 3: facility-seeded start (Theorem 2.1 backwards), refined by swap

@@ -61,17 +61,6 @@ Digraph normalize_player_degree(const Digraph& g, Vertex player, std::uint32_t c
   return normalized;
 }
 
-GreedySwapDescent greedy_swap_descent(const Digraph& g, Vertex player, CostVersion version,
-                                      bool incremental, GraphCore core) {
-  // exact_limit 1 keeps the ladder's exact path out of reach — this helper
-  // is the heuristic descent only.
-  const BestResponseSolver ladder(version, /*exact_limit=*/1, incremental, core);
-  GreedySwapDescent descent;
-  descent.coarse = ladder.greedy(g, player);
-  descent.refined = ladder.swap_improve(g, player, descent.coarse.strategy);
-  return descent;
-}
-
 BestResponse to_best_response(const SolverResult& result) {
   BestResponse br;
   br.strategy = result.strategy;

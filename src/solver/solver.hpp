@@ -42,7 +42,8 @@ namespace bbng {
 /// the dynamic-BFS delta oracle, or force the naive full-BFS path
 /// (differential testing; both paths return identical costs). `core` picks
 /// the delta oracle's graph core (graph/csr_graph.hpp) — a performance knob
-/// only; the cores are bit-identical in every observable.
+/// only; the cores are bit-identical in every observable. exact_bb scores on
+/// its own evaluator and reads neither.
 struct SolverBudget {
   double deadline_seconds = 0;   ///< wall-clock cap; 0 = none
   std::uint64_t node_limit = 0;  ///< backend-specific work cap (see above)
@@ -166,18 +167,6 @@ class BestResponseBackend {
 /// vertex sits at distance ≥ 1, so SUM ≥ n−1 and MAX ≥ 1. Shared so the
 /// heuristic backends can never drift apart on the same query.
 [[nodiscard]] std::uint64_t trivial_cost_lower_bound(std::uint32_t n, CostVersion version);
-
-/// One greedy construction refined by one swap descent — the incumbent
-/// recipe shared by the portfolio's racer 2 and the branch-and-bound's
-/// seeding, kept in one place so their counters and incumbents stay
-/// comparable.
-struct GreedySwapDescent {
-  BestResponse coarse;   ///< greedy construction from scratch
-  BestResponse refined;  ///< swap descent started from `coarse`
-};
-[[nodiscard]] GreedySwapDescent greedy_swap_descent(const Digraph& g, Vertex player,
-                                                    CostVersion version, bool incremental,
-                                                    GraphCore core = GraphCore::kCsr);
 
 /// `g` with `player`'s strategy deterministically resized to exactly `cap`
 /// heads: trimmed to its `cap` smallest heads, or padded with the

@@ -4,7 +4,8 @@
 // cost with the optimality certificate set — on both cost versions,
 // disconnected instances included, on the cover-table path and on the delta
 // oracle fallback above ExactBranchAndBound::kMatrixLimit. The closed-form
-// dominance rule is checked against the pairwise sweep it replaced. Anytime
+// dominance rule is checked against the pairwise sweep it replaced, and the
+// incumbent descent against BestResponseSolver's greedy+swap ladder. Anytime
 // behaviour (budget truncation), the transposition cache, and the
 // lower-bound invariants are pinned alongside.
 #include "solver/exact_bb.hpp"
@@ -104,7 +105,8 @@ TEST(SolverExact, MatchesBruteForceOnExhaustiveCorpus) {
       const BestResponseSolver brute(version);
       for (Vertex u = 0; u < n; ++u) {
         const BestResponse reference = brute.exact(g, u);
-        // `incremental` selects only the evaluator of the incumbent seeding.
+        // exact_bb reads neither `incremental` nor `core`: both settings
+        // must give the same certified answer.
         for (const bool incremental : {true, false}) {
           SolverBudget budget;
           budget.incremental = incremental;
@@ -257,6 +259,110 @@ TEST(SolverExact, OracleFallbackAboveMatrixLimitMatchesEnumeration) {
       EXPECT_EQ(result.cost, best) << "u " << u << " " << to_string(version);
       EXPECT_EQ(result.current_cost, player_eval.current_cost());
       EXPECT_GT(result.bfs_avoided, 0u) << "the fallback must score on the delta oracle";
+    }
+  }
+}
+
+/// exact_bb's incumbent descent must equal BestResponseSolver's greedy and
+/// swap_improve from the greedy result — strategy, cost and `evaluated` —
+/// whichever evaluator the ladder scores on.
+void expect_descent_matches_ladder(const Digraph& g, Vertex u, CostVersion version,
+                                   const std::string& context) {
+  const detail::IncumbentDescent descent = detail::incumbent_descent(g, u, version);
+  for (const bool incremental : {true, false}) {
+    const BestResponseSolver ladder(version, /*exact_limit=*/1, incremental);
+    const BestResponse coarse = ladder.greedy(g, u);
+    const BestResponse refined = ladder.swap_improve(g, u, coarse.strategy);
+    const std::string where = context + " u " + std::to_string(u) + " " +
+                              std::string(to_string(version)) +
+                              (incremental ? " incremental" : " naive");
+    ASSERT_EQ(descent.coarse.strategy, coarse.strategy) << where;
+    ASSERT_EQ(descent.coarse.cost, coarse.cost) << where;
+    ASSERT_EQ(descent.coarse.evaluated, coarse.evaluated) << where;
+    ASSERT_EQ(descent.coarse.current_cost, coarse.current_cost) << where;
+    ASSERT_EQ(descent.refined.strategy, refined.strategy) << where;
+    ASSERT_EQ(descent.refined.cost, refined.cost) << where;
+    ASSERT_EQ(descent.refined.evaluated, refined.evaluated) << where;
+  }
+}
+
+TEST(SolverExact, IncumbentDescentMatchesGreedySwapLadder) {
+  // Trees, random budgets (connected-leaning and sparse, so MAX meets
+  // disconnected base graphs and the Cinf·(1 + unseeded) charge), on both
+  // cost versions and every player: delta_scan_degenerate ones (no in-arcs,
+  // ≤ 1 head), where the ladder scores naively, and out-degree-0 ones.
+  Rng rng(6060);
+  int degenerate = 0;
+  int disconnected_max = 0;
+  int swaps_committed = 0;
+  for (int round = 0; round < 48; ++round) {
+    const std::uint32_t n = 3 + static_cast<std::uint32_t>(rng.next_below(38));  // 3..40
+    Digraph g(1);
+    if (round % 3 == 0) {
+      g = random_tree_digraph(n, rng);
+    } else {
+      const bool sparse = round % 3 == 2;
+      const std::uint64_t sigma = sparse ? n / 2 + rng.next_below(n / 3 + 1)
+                                         : n + rng.next_below(2 * n);
+      g = random_profile(random_budgets(n, std::min<std::uint64_t>(sigma, n * (n - 1)), rng),
+                         rng);
+    }
+    const std::string context = "round " + std::to_string(round) + " n " + std::to_string(n);
+    for (const CostVersion version : {CostVersion::Sum, CostVersion::Max}) {
+      for (Vertex u = 0; u < n; ++u) {
+        expect_descent_matches_ladder(g, u, version, context);
+        if (HasFatalFailure()) return;
+        if (version == CostVersion::Sum) {
+          degenerate += delta_scan_degenerate(g, u) ? 1 : 0;
+          const detail::IncumbentDescent d = detail::incumbent_descent(g, u, version);
+          swaps_committed += d.refined.strategy != d.coarse.strategy ? 1 : 0;
+        } else if (StrategyEvaluator(g, u, version).current_cost() >= 2 * cinf(n)) {
+          ++disconnected_max;
+        }
+      }
+    }
+  }
+  EXPECT_GT(degenerate, 0);
+  EXPECT_GT(disconnected_max, 0);
+  EXPECT_GT(swaps_committed, 0) << "no swap descent moved off its greedy start";
+}
+
+TEST(SolverExact, IncumbentDescentOfAnEmptyStrategyUnderALargerCap) {
+  // An out-degree-0 player solved under budget_cap 2: the descent runs for
+  // out-degree (zero) greedy steps, as the ladder does, and the search still
+  // finds the capped optimum from the empty incumbent.
+  Rng rng(17);
+  const Digraph g = random_profile({0, 2, 1, 1, 2, 1, 0, 1}, rng);
+  const ExactBranchAndBound bb;
+  for (const CostVersion version : {CostVersion::Sum, CostVersion::Max}) {
+    for (const Vertex u : {Vertex{0}, Vertex{6}}) {
+      expect_descent_matches_ladder(g, u, version, "empty strategy");
+      if (HasFatalFailure()) return;
+      SolverBudget budget;
+      budget.budget_cap = 2;
+      const SolverResult result = bb.solve(g, u, version, budget);
+      const BestResponse reference =
+          BestResponseSolver(version).exact(normalize_player_degree(g, u, 2), u);
+      EXPECT_TRUE(result.optimal);
+      EXPECT_EQ(result.cost, reference.cost) << "u " << u << " " << to_string(version);
+      EXPECT_EQ(result.strategy.size(), 2u);
+    }
+  }
+}
+
+TEST(SolverExact, IncumbentDescentOnTheOracleAboveMatrixLimit) {
+  // n = kMatrixLimit + 1: the descent scores on the search's CSR delta
+  // oracle, and must still equal the ladder probe for probe.
+  const std::uint32_t n = ExactBranchAndBound::kMatrixLimit + 1;
+  Rng rng(4711);
+  std::vector<std::uint32_t> budgets(n, 1);
+  budgets[0] = 2;
+  budgets[n / 2] = 3;
+  const Digraph g = random_profile(budgets, rng);
+  for (const CostVersion version : {CostVersion::Sum, CostVersion::Max}) {
+    for (const Vertex u : {Vertex{0}, Vertex{n / 2}}) {
+      expect_descent_matches_ladder(g, u, version, "n 2049");
+      if (HasFatalFailure()) return;
     }
   }
 }

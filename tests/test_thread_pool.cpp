@@ -133,6 +133,65 @@ TEST(ThreadPoolStress, ShortLivedPoolsShutDownCleanly) {
   });
 }
 
+/// One bulk over [0, count) that checks every index was run exactly once.
+/// Each chunk yields, so woken workers get to take chunks of it.
+void expect_bulk_covers_once(ThreadPool& pool, std::uint64_t count, std::uint64_t grain) {
+  std::vector<std::atomic<int>> hits(count);
+  pool.run_chunked(count, grain, [&](std::uint64_t b, std::uint64_t e) {
+    for (std::uint64_t i = b; i < e; ++i) hits[i].fetch_add(1, std::memory_order_relaxed);
+    std::this_thread::yield();
+  });
+  for (std::uint64_t i = 0; i < count; ++i) ASSERT_EQ(hits[i].load(), 1) << "index " << i;
+}
+
+TEST(ThreadPoolStress, ConcurrentSubmittersShareOnePool) {
+  // Two and three threads submit bulks to one pool at once. Each submitter
+  // clears the active bulk only while it is still its own, so a finishing
+  // bulk never hides a newer one; every bulk must cover its range once.
+  for (const unsigned submitters : {2U, 3U}) {
+    run_with_watchdog(std::chrono::seconds(60), [submitters] {
+      ThreadPool pool(3);
+      std::vector<std::thread> threads;
+      for (unsigned s = 0; s < submitters; ++s) {
+        threads.emplace_back([&pool, s] {
+          for (int round = 0; round < 2000; ++round) {
+            expect_bulk_covers_once(pool, 8 + (round + s) % 24, 1 + (round + s) % 3);
+          }
+        });
+      }
+      for (auto& thread : threads) thread.join();
+    });
+  }
+}
+
+TEST(ThreadPoolStress, NestedSubmissionFromABody) {
+  // A body submits its own bulk to the pool that runs it: the inner bulk
+  // takes over the workers, the outer submitter finishes its own bulk, and
+  // both cover their ranges once.
+  run_with_watchdog(std::chrono::seconds(60), [] {
+    ThreadPool pool(3);
+    for (int round = 0; round < 200; ++round) {
+      std::vector<std::atomic<int>> outer(12);
+      std::atomic<int> inner_failures{0};
+      pool.run_chunked(outer.size(), 1, [&](std::uint64_t b, std::uint64_t e) {
+        for (std::uint64_t i = b; i < e; ++i) {
+          outer[i].fetch_add(1, std::memory_order_relaxed);
+          std::vector<std::atomic<int>> inner(16);
+          pool.run_chunked(inner.size(), 2, [&](std::uint64_t ib, std::uint64_t ie) {
+            for (std::uint64_t k = ib; k < ie; ++k) inner[k].fetch_add(1);
+            std::this_thread::yield();
+          });
+          for (const auto& h : inner) {
+            if (h.load() != 1) inner_failures.fetch_add(1);
+          }
+        }
+      });
+      for (const auto& h : outer) ASSERT_EQ(h.load(), 1) << "round " << round;
+      ASSERT_EQ(inner_failures.load(), 0) << "round " << round;
+    }
+  });
+}
+
 TEST(ParallelFor, SumOfIndices) {
   ThreadPool pool(4);
   std::vector<std::uint64_t> values(5000, 0);
